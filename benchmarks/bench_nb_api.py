@@ -29,7 +29,8 @@ import sys
 import threading
 
 from repro import telemetry
-from repro.northbound import LocalClient, NorthboundAPI, build_demo_stack
+from repro.northbound import LocalClient, NorthboundAPI
+from repro.scenarios import build_demo_stack
 from repro.telemetry.clocks import Stopwatch
 
 #: Offered load the perturbation model assumes (and the paced threads drive).

@@ -18,7 +18,7 @@ the three claims the sketch scope makes:
   flows-per-MB);
 * ``ddos_recall`` / ``portscan_recall`` — threshold detection fed from
   sketch features alone vs the same detection on exact features: recall
-  must come within ``SKETCH_RECALL_TOLERANCE`` (0.25) of the exact
+  must come within ``RECALL_TOLERANCE`` (0.25) of the exact
   path (the equivalence verdict is the gate);
 * ``determinism`` — two same-seed runs must produce byte-identical
   sketch-state serialisations and identical alert-stream sha256
@@ -37,7 +37,7 @@ import tracemalloc
 from repro.perf import BenchResult, HotpathReport, measure_throughput
 from repro.sketch.features import ExactWindowState, SketchFeatureState
 from repro.sketch.scenarios import (
-    SKETCH_RECALL_TOLERANCE,
+    RECALL_TOLERANCE,
     run_sketch_scenario,
 )
 from repro.workloads.sketchscale import SketchScaleGenerator, SketchScaleSpec
@@ -173,13 +173,13 @@ def _bench_recall(scenario, quick, sketch_outcome=None):
             fast_ops_per_sec=sketch.recall,
             slow_ops_per_sec=exact.recall,
             n_ops=sketch.n_documents,
-            equivalent=drift <= SKETCH_RECALL_TOLERANCE,
+            equivalent=drift <= RECALL_TOLERANCE,
             unit="recall",
             detail={
                 "sketch_recall": round(sketch.recall, 4),
                 "exact_recall": round(exact.recall, 4),
                 "drift": round(drift, 4),
-                "tolerance": SKETCH_RECALL_TOLERANCE,
+                "tolerance": RECALL_TOLERANCE,
                 "sketch_false_alarm_rate": round(sketch.false_alarm_rate, 4),
                 "threshold": round(sketch.threshold, 2),
                 "attack_cells": sketch.n_attack_cells,

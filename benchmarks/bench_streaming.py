@@ -14,7 +14,7 @@ quantifies and gates that promise:
   per-event retrain);
 * ``parity`` — the portscan (and, in full mode, DDoS) scenario run
   through both the batch and streaming paths; streaming recall must
-  land within ``STREAMING_RECALL_TOLERANCE`` of batch recall;
+  land within ``RECALL_TOLERANCE`` of batch recall;
 * ``determinism`` — two identical same-seed runs must produce
   byte-identical alert streams.
 
@@ -31,11 +31,8 @@ import sys
 from repro.controller.events import EventBus, PacketInEvent
 from repro.ml.online import SlidingWindowDetector
 from repro.openflow.messages import PacketIn
+from repro.scenarios import RECALL_TOLERANCE, run_scenario
 from repro.streaming import StreamingDetectorManager, StreamingPipeline
-from repro.streaming.scenarios import (
-    STREAMING_RECALL_TOLERANCE,
-    run_streaming_scenario,
-)
 from repro.telemetry.clocks import Stopwatch
 
 #: Minimum sustained fold+score rate over synthetic PacketIn events.
@@ -116,23 +113,22 @@ def _measure_latency(n_events):
 
 
 def _parity_row(scenario):
-    result = run_streaming_scenario(scenario)
-    drop = result.batch_recall - result.streaming_recall
+    result = run_scenario(scenario, streaming=True)
+    drop = result.recall - result.streaming_recall
     return {
         "metric": f"recall_parity_{scenario}",
         "value": round(result.streaming_recall, 4),
-        "gate": f">= batch ({result.batch_recall:.3f}) - "
-                f"{STREAMING_RECALL_TOLERANCE}",
+        "gate": f">= batch ({result.recall:.3f}) - {RECALL_TOLERANCE}",
         "passed": (
             result.streaming_detected
-            and drop <= STREAMING_RECALL_TOLERANCE
+            and drop <= RECALL_TOLERANCE
         ),
     }, result
 
 
 def _determinism_row():
-    first = run_streaming_scenario("portscan")
-    second = run_streaming_scenario("portscan")
+    first = run_scenario("portscan", streaming=True)
+    second = run_scenario("portscan", streaming=True)
     identical = first.alert_stream_json == second.alert_stream_json
     return {
         "metric": "alert_stream_determinism",
@@ -167,9 +163,9 @@ def run_report(quick=False):
         row, result = _parity_row(scenario)
         rows.append(row)
         parity_meta[scenario] = {
-            "batch_recall": round(result.batch_recall, 4),
+            "batch_recall": round(result.recall, 4),
             "streaming_recall": round(result.streaming_recall, 4),
-            "batch_detected": result.batch_detected,
+            "batch_detected": result.detected,
             "streaming_detected": result.streaming_detected,
             "events_processed": result.events_processed,
             "alerts_emitted": result.alerts_emitted,
@@ -182,7 +178,7 @@ def run_report(quick=False):
         "synthetic_flows": SYNTHETIC_FLOWS,
         "latency_ms": {k: round(v, 4) for k, v in latency.items()},
         "bench_detector_alerts": len(detectors.alerts),
-        "recall_tolerance": STREAMING_RECALL_TOLERANCE,
+        "recall_tolerance": RECALL_TOLERANCE,
         "parity": parity_meta,
     }
     return {

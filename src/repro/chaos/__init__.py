@@ -8,9 +8,9 @@ retry-with-backoff primitives the hardened consumers
 build on.  Same plan + seed ⇒ byte-identical deterministic telemetry
 snapshot — see ``docs/CHAOS.md``.
 
-Scenario runners live in :mod:`repro.chaos.scenarios` (imported lazily —
-they depend on :mod:`repro.core`, which itself uses this package's retry
-primitives).
+The scenario runner lives in :mod:`repro.scenarios` (outside this
+package — it depends on :mod:`repro.core`, which itself uses this
+package's retry primitives).
 """
 
 from repro.chaos.controller import ChaosController

@@ -184,7 +184,7 @@ class FaultPlan:
 # -- canned plans -----------------------------------------------------------
 #
 # The conformance suite and ``repro.cli chaos`` share these.  They target
-# the bundled chaos scenarios (repro.chaos.scenarios): instance ids 0/1,
+# the bundled scenarios (repro.scenarios): instance ids 0/1,
 # shards 0-2, and the s1-s2 link all exist in every scenario topology.
 
 def _midrun_failover() -> FaultPlan:

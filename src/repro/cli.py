@@ -207,7 +207,7 @@ def _render_metrics(args: argparse.Namespace, snapshot) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import FaultPlan, canned_plan, canned_plan_names
-    from repro.chaos.scenarios import RECALL_TOLERANCE, run_scenario
+    from repro.scenarios import RECALL_TOLERANCE, run_scenario
 
     if args.list_plans:
         for name in canned_plan_names():
@@ -243,7 +243,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_sketch(args: argparse.Namespace) -> int:
     from repro.sketch.scenarios import (
-        SKETCH_RECALL_TOLERANCE,
+        RECALL_TOLERANCE,
         run_sketch_scenario,
     )
     from repro.workloads.sketchscale import SketchScaleSpec
@@ -272,28 +272,25 @@ def _cmd_sketch(args: argparse.Namespace) -> int:
         drift = abs(sketch.recall - exact.recall)
         print(f"exact    : recall={exact.recall:.3f} "
               f"resident={exact.state_nbytes / 1e6:.2f}MB")
-        print(f"drift    : {drift:.3f} (tolerance {SKETCH_RECALL_TOLERANCE})")
-        return 0 if drift <= SKETCH_RECALL_TOLERANCE else 1
+        print(f"drift    : {drift:.3f} (tolerance {RECALL_TOLERANCE})")
+        return 0 if drift <= RECALL_TOLERANCE else 1
     return 0
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    from repro.streaming.scenarios import (
-        STREAMING_RECALL_TOLERANCE,
-        run_streaming_scenario,
-    )
+    from repro.scenarios import RECALL_TOLERANCE, run_scenario
 
-    result = run_streaming_scenario(
-        args.scenario, seed=args.seed, duration=args.duration
+    result = run_scenario(
+        args.scenario, seed=args.seed, streaming=True, duration=args.duration
     )
     print(f"scenario  : {result.scenario}  seed={result.seed}")
     print(f"events    : {result.events_processed} folded, "
           f"{result.alerts_emitted} alert(s)")
-    print(f"batch     : detected={result.batch_detected}  "
-          f"recall={result.batch_recall:.3f}")
+    print(f"batch     : detected={result.detected}  "
+          f"recall={result.recall:.3f}")
     print(f"streaming : detected={result.streaming_detected}  "
           f"recall={result.streaming_recall:.3f}  "
-          f"(tolerance {STREAMING_RECALL_TOLERANCE})")
+          f"(tolerance {RECALL_TOLERANCE})")
     print(f"flagged   : {', '.join(result.streaming_flagged) or '(none)'}")
     for summary in result.detector_summaries:
         print(f"  detector {summary['name']}: {summary['algorithm']} over "
@@ -305,7 +302,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             handle.write(result.alert_stream_json)
         print(f"alerts    : {args.alerts} "
               f"(sha256 {result.alert_stream_digest[:16]}…)")
-    parity = result.streaming_recall >= result.batch_recall - STREAMING_RECALL_TOLERANCE
+    parity = result.streaming_recall >= result.recall - RECALL_TOLERANCE
     return 0 if result.streaming_detected and parity else 1
 
 
@@ -316,7 +313,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # request/cache counters are part of what /metrics exposes.
     telemetry.configure(enabled=True)
 
-    from repro.northbound import NorthboundAPI, build_demo_stack, make_api_server
+    from repro.northbound import NorthboundAPI, make_api_server
+    from repro.scenarios import build_demo_stack
 
     stack = build_demo_stack(scale=args.scale, horizon=args.duration,
                              seed=args.seed)

@@ -14,7 +14,6 @@ alerts, model status, flow tables, and health, and Prometheus can scrape
 from repro.northbound.api import NorthboundAPI, http_status_for
 from repro.northbound.cache import VersionedCache, make_etag
 from repro.northbound.client import LocalClient, Response
-from repro.northbound.demo import DemoStack, build_demo_stack
 from repro.northbound.server import make_api_server
 
 __all__ = [
@@ -24,7 +23,5 @@ __all__ = [
     "make_etag",
     "LocalClient",
     "Response",
-    "DemoStack",
-    "build_demo_stack",
     "make_api_server",
 ]

@@ -20,6 +20,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+# Recall on sketch features must come within RECALL_TOLERANCE of the
+# exact path: the same allowance the live scenarios use.
+from repro.scenarios import RECALL_TOLERANCE  # noqa: F401
 from repro.sketch.features import ExactWindowState, SketchFeatureState
 from repro.workloads.sketchscale import SketchScaleGenerator, SketchScaleSpec
 
@@ -29,10 +32,6 @@ SCENARIO_FEATURES: Dict[str, str] = {
     "ddos": "SKETCH_UNIQUE_SRC_EST",
     "portscan": "SKETCH_UNIQUE_DST_PORT_EST",
 }
-
-#: Recall on sketch features must come within this of the exact path
-#: (matches repro.chaos.scenarios.RECALL_TOLERANCE).
-SKETCH_RECALL_TOLERANCE = 0.25
 
 
 @dataclass

@@ -20,7 +20,7 @@ import os
 import pytest
 
 from repro.chaos import canned_plan
-from repro.chaos.scenarios import RECALL_TOLERANCE, run_scenario
+from repro.scenarios import RECALL_TOLERANCE, run_scenario
 
 PLANS = ("midrun-failover", "shard-loss", "link-flap")
 # The ATHENA_CHAOS=1 CI leg widens the sweep to every canned plan.

@@ -7,10 +7,10 @@ from repro.northbound import (
     LocalClient,
     NorthboundAPI,
     VersionedCache,
-    build_demo_stack,
     http_status_for,
     make_etag,
 )
+from repro.scenarios import build_demo_stack
 
 
 @pytest.fixture(scope="module")

@@ -10,47 +10,24 @@ never served from (or stored into) the response cache.
 import pytest
 
 from repro import telemetry
-from repro.chaos.scenarios import _build_stack
 from repro.ml.online import SlidingWindowDetector
 from repro.northbound import LocalClient, NorthboundAPI
 from repro.northbound.api import MAX_ALERT_WAIT
-from repro.workloads.flows import FlowSpec
-
-
-class _Stack:
-    def __init__(self):
-        self.topo, self.athena, self.schedule = _build_stack()
-        self.runtime = self.athena.enable_streaming()
-        self.runtime.detectors.register_detector(
-            "portscan_fanout",
-            SlidingWindowDetector(column=0, threshold=10.0, window=16,
-                                  min_hits=1),
-            features=["SRC_FLOW_FANOUT"],
-            cooldown=0.5,
-        )
-        # The portscan traffic from the equivalence scenarios: a fanout
-        # burst from h1 plus one benign bidirectional flow from h2.
-        for port in range(30):
-            self.schedule.add_flow(
-                FlowSpec(src_host="h1", dst_host="h5", sport=52000 + port,
-                         dport=1000 + port, packet_size=64, rate_pps=4.0,
-                         start=1.0 + port * 0.05, duration=1.5)
-            )
-        self.schedule.add_flow(
-            FlowSpec(src_host="h2", dst_host="h6", sport=33000, dport=80,
-                     rate_pps=10.0, start=1.0, duration=6.0,
-                     bidirectional=True)
-        )
-
-    @property
-    def sim(self):
-        return self.topo.network.sim
+from repro.scenarios import build_stack, portscan_traffic
 
 
 @pytest.fixture(scope="module")
 def stack():
     telemetry.configure(enabled=True)
-    yield _Stack()
+    stack = build_stack()
+    stack.athena.enable_streaming().detectors.register_detector(
+        "portscan_fanout",
+        SlidingWindowDetector(column=0, threshold=10.0, window=16, min_hits=1),
+        features=["SRC_FLOW_FANOUT"],
+        cooldown=0.5,
+    )
+    portscan_traffic(stack)
+    yield stack
     telemetry.reset_telemetry()
 
 
@@ -65,8 +42,7 @@ def client(app):
 
 
 def test_status_reports_disabled_without_streaming():
-    topo, athena, _schedule = _build_stack()
-    client = LocalClient(NorthboundAPI(athena))
+    client = LocalClient(NorthboundAPI(build_stack().athena))
     data = client.get("/api/streaming/status").json()["data"]
     assert data == {"enabled": False}
 
@@ -82,7 +58,7 @@ def test_long_poll_drives_sim_until_alert(stack, client):
     assert streaming, "long-poll returned without a streaming alert"
     alert = streaming[0]
     assert alert["detector"] == "portscan_fanout"
-    assert alert["source"] == stack.topo.network.hosts["h1"].ip
+    assert alert["source"] == stack.ip("h1")
     assert "alert_id" in alert and "sim_time" in alert
 
 
@@ -146,10 +122,7 @@ def test_streaming_status_reports_pipeline_state(stack, client):
 
 
 def test_alerts_merge_reactions_and_streaming(stack, client):
-    from repro.core import BlockReaction
-
-    target = stack.topo.network.hosts["h2"].ip
-    stack.athena.northbound.reactor(None, BlockReaction(target_ips=[target]))
+    stack.enforce_block(stack.ip("h2"))
     body = client.get("/api/alerts", params={"limit": "1000"}).json()
     kinds = {row["alert_type"] for row in body["data"]}
     assert kinds == {"reaction", "streaming"}
@@ -161,7 +134,7 @@ def test_alerts_merge_reactions_and_streaming(stack, client):
 
 def test_detector_registration_moves_state_version(stack, app, client):
     first = client.get("/api/streaming/status")
-    stack.runtime.detectors.register_detector(
+    stack.athena.streaming.detectors.register_detector(
         "late_probe",
         SlidingWindowDetector(column=0, threshold=1e9, window=4, min_hits=1),
         features=["FLOW_PACKET_COUNT"],
@@ -171,4 +144,4 @@ def test_detector_registration_moves_state_version(stack, app, client):
     assert [d["name"] for d in second.json()["data"]["detectors"]] == [
         "portscan_fanout", "late_probe",
     ]
-    stack.runtime.detectors.unregister_detector("late_probe")
+    stack.athena.streaming.detectors.unregister_detector("late_probe")

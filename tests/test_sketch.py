@@ -5,7 +5,7 @@ The contracts the ``ATHENA_SKETCH`` scope ships with (docs/SKETCH.md):
 * same (seed, stream) → byte-identical sketch-state serialisations and
   identical alert-stream sha256 digests, across full pipeline re-runs;
 * detection recall on sketch features stays within
-  ``SKETCH_RECALL_TOLERANCE`` of the exact-features path for both the
+  ``RECALL_TOLERANCE`` of the exact-features path for both the
   ddos and portscan scenarios;
 * per-shard sketch states merge losslessly: a shard state recovered
   from its serialised replica merges to the byte-identical combined
@@ -34,7 +34,7 @@ from repro.openflow.messages import (
 from repro.perf import set_sketch, sketch_enabled, sketch_scope
 from repro.sketch import SKETCH_FEATURE_NAMES, SketchFeatureState
 from repro.sketch.scenarios import (
-    SKETCH_RECALL_TOLERANCE,
+    RECALL_TOLERANCE,
     build_documents,
     detect,
     run_sketch_scenario,
@@ -111,7 +111,7 @@ class TestExactEquivalence:
         exact = _outcome(scenario, use_sketch=False)
         assert exact.recall > 0.5, "exact baseline must itself detect"
         drift = abs(sketch.recall - exact.recall)
-        assert drift <= SKETCH_RECALL_TOLERANCE, (
+        assert drift <= RECALL_TOLERANCE, (
             f"{scenario}: sketch recall {sketch.recall:.3f} drifted "
             f"{drift:.3f} from exact {exact.recall:.3f}"
         )
@@ -157,11 +157,11 @@ class TestShardRecovery:
         documents, _ = sharded_documents(spec, n_shards=3)
         _, recall, _, _ = detect(documents, "ddos")
         single = _outcome("ddos", use_sketch=True)
-        assert recall >= single.recall - SKETCH_RECALL_TOLERANCE
+        assert recall >= single.recall - RECALL_TOLERANCE
 
     def test_detection_survives_canned_shard_loss_with_sketch_live(self):
         from repro.chaos import canned_plan
-        from repro.chaos.scenarios import run_scenario
+        from repro.scenarios import run_scenario
 
         with sketch_scope(True):
             result = run_scenario("ddos", plan=canned_plan("shard-loss"), seed=0)
@@ -258,7 +258,8 @@ class TestGeneratorWiring:
 @pytest.fixture(scope="module")
 def nb_client():
     from repro import telemetry
-    from repro.northbound import LocalClient, NorthboundAPI, build_demo_stack
+    from repro.northbound import LocalClient, NorthboundAPI
+    from repro.scenarios import build_demo_stack
 
     telemetry.configure(enabled=True)
     demo = build_demo_stack(horizon=5.0)

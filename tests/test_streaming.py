@@ -421,12 +421,12 @@ class TestEventBusMidDispatch:
 
 class TestDeploymentWiring:
     def test_enable_streaming_idempotent(self):
-        from repro.chaos.scenarios import _build_stack
+        from repro.scenarios import build_stack
 
-        topo, athena, _schedule = _build_stack()
-        runtime = athena.enable_streaming()
-        assert athena.enable_streaming() is runtime
+        stack = build_stack()
+        runtime = stack.athena.enable_streaming()
+        assert stack.athena.enable_streaming() is runtime
         assert sorted(runtime.pipeline.states) == [
-            instance.instance_id for instance in athena.instances
+            instance.instance_id for instance in stack.athena.instances
         ]
-        topo.network.sim.run(until=1.0)
+        stack.run(until=1.0)
