@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -89,6 +90,17 @@ class DatabaseCluster:
         shard.ensure_up()
         return shard
 
+    def _read_shards(self, filter_: Optional[Dict[str, Any]]) -> List[ShardNode]:
+        """The pinned shard key's home shard, else every live shard.
+
+        An ``_id`` pin scatters: documents inserted without one were
+        routed by content and got their ``_id`` on the shard.
+        """
+        pinned = equality_value(filter_, self.shard_key)
+        if pinned is None or self.shard_key == "_id":
+            return self._live_shards()
+        return [self._shard_for(pinned)]
+
     def _live_shards(self) -> List[ShardNode]:
         live = [s for s in self.shards if s.up]
         if not live:
@@ -107,14 +119,17 @@ class DatabaseCluster:
         # Driver-side wire encoding (the BSON step a real client performs);
         # this is genuine per-insert CPU work, which is what makes the
         # Table IX 'DB operations dominate' result measurable.
-        encoded = len(json.dumps(doc, default=str, separators=(",", ":")))
-        self.bytes_on_wire += encoded
-        self._metric_wire_bytes.inc(encoded)
+        wire = json.dumps(doc, default=str, separators=(",", ":"))
+        self.bytes_on_wire += len(wire)
+        self._metric_wire_bytes.inc(len(wire))
         key_value = doc.get(self.shard_key)
-        if key_value is None:
-            # No shard key: route by insertion order hash of the whole doc.
-            key_value = id(doc)
-        home = self.shards[_hash_value(key_value) % len(self.shards)]
+        # No shard key: route by content, so the same documents land on
+        # the same shards (and read back in the same order) every time.
+        key_hash = (
+            zlib.crc32(wire.encode()) if key_value is None
+            else _hash_value(key_value)
+        )
+        home = self.shards[key_hash % len(self.shards)]
         chain = [
             self.shards[(home.node_id + offset) % len(self.shards)]
             for offset in range(self.replication)
@@ -183,13 +198,8 @@ class DatabaseCluster:
     ) -> List[Dict[str, Any]]:
         self.router_ops += 1
         validate_filter(filter_)
-        pinned = equality_value(filter_, self.shard_key)
-        if pinned is not None:
-            shards = [self._shard_for(pinned)]
-        else:
-            shards = self._live_shards()
         results: List[Dict[str, Any]] = []
-        for shard in shards:
+        for shard in self._read_shards(filter_):
             if shard.has_collection(collection):
                 results.extend(
                     shard.collection(collection).find(
@@ -216,14 +226,9 @@ class DatabaseCluster:
         Callers must treat the documents as read-only.
         """
         validate_filter(filter_)
-        pinned = equality_value(filter_, self.shard_key)
-        if pinned is not None:
-            shards = [self._shard_for(pinned)]
-        else:
-            shards = self._live_shards()
         return [
             shard.collection(collection).raw_candidates(filter_)
-            for shard in shards
+            for shard in self._read_shards(filter_)
             if shard.has_collection(collection)
         ]
 

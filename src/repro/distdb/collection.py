@@ -63,11 +63,16 @@ class Collection:
     def __init__(self, name: str) -> None:
         self.name = name
         self._docs: Dict[Any, Dict[str, Any]] = {}
-        self._indexes: Dict[str, Dict[Any, set]] = {}
+        #: field -> value -> bucket of _ids.  Buckets are dicts used as
+        #: insertion-ordered sets, so an index-served read returns
+        #: documents in insertion order, whatever their ``_id`` values.
+        self._indexes: Dict[str, Dict[Any, Dict[Any, None]]] = {}
         #: (field, ...) tuple -> value tuple -> _ids; maintained alongside
         #: the single-field indexes and consulted first when a filter pins
         #: every field of the compound key.
-        self._compound_indexes: Dict[Tuple[str, ...], Dict[Tuple[Any, ...], set]] = {}
+        self._compound_indexes: Dict[
+            Tuple[str, ...], Dict[Tuple[Any, ...], Dict[Any, None]]
+        ] = {}
         #: _id -> memoized approx_size of the stored document.
         self._size_cache: Dict[Any, int] = {}
         # Operation accounting.
@@ -90,32 +95,32 @@ class Collection:
             raise DatabaseError("create_index needs at least one field")
         if len(fields) == 1:
             field = fields[0]
-            index: Dict[Any, set] = defaultdict(set)
+            index: Dict[Any, Dict[Any, None]] = defaultdict(dict)
             for _id, doc in self._docs.items():
-                index[get_path(doc, field)].add(_id)
+                index[get_path(doc, field)][_id] = None
             self._indexes[field] = index
             return
-        compound: Dict[Tuple[Any, ...], set] = defaultdict(set)
+        compound: Dict[Tuple[Any, ...], Dict[Any, None]] = defaultdict(dict)
         for _id, doc in self._docs.items():
-            compound[tuple(get_path(doc, f) for f in fields)].add(_id)
+            compound[tuple(get_path(doc, f) for f in fields)][_id] = None
         self._compound_indexes[tuple(fields)] = compound
 
     def _index_add(self, doc: Dict[str, Any]) -> None:
         for field, index in self._indexes.items():
-            index.setdefault(get_path(doc, field), set()).add(doc["_id"])
+            index.setdefault(get_path(doc, field), {})[doc["_id"]] = None
         for fields, index in self._compound_indexes.items():
             key = tuple(get_path(doc, f) for f in fields)
-            index.setdefault(key, set()).add(doc["_id"])
+            index.setdefault(key, {})[doc["_id"]] = None
 
     def _index_remove(self, doc: Dict[str, Any]) -> None:
         for field, index in self._indexes.items():
             bucket = index.get(get_path(doc, field))
             if bucket is not None:
-                bucket.discard(doc["_id"])
+                bucket.pop(doc["_id"], None)
         for fields, index in self._compound_indexes.items():
             bucket = index.get(tuple(get_path(doc, f) for f in fields))
             if bucket is not None:
-                bucket.discard(doc["_id"])
+                bucket.pop(doc["_id"], None)
 
     # -- writes --------------------------------------------------------------
 
@@ -189,7 +194,7 @@ class Collection:
                 value = equality_pin(filter_, field)
                 if value is not MISSING:
                     try:
-                        ids = self._indexes[field].get(value, set())
+                        ids = self._indexes[field].get(value, ())
                     except TypeError:  # unhashable pin value
                         continue
                     return [self._docs[_id] for _id in ids if _id in self._docs]
@@ -199,14 +204,14 @@ class Collection:
             for fields, index in self._compound_indexes.items():
                 if all(f in pins for f in fields):
                     try:
-                        ids = index.get(tuple(pins[f] for f in fields), set())
+                        ids = index.get(tuple(pins[f] for f in fields), ())
                     except TypeError:
                         continue
                     return [self._docs[_id] for _id in ids if _id in self._docs]
             for field in self._indexes:
                 if field in pins:
                     try:
-                        ids = self._indexes[field].get(pins[field], set())
+                        ids = self._indexes[field].get(pins[field], ())
                     except TypeError:
                         continue
                     return [self._docs[_id] for _id in ids if _id in self._docs]

@@ -262,6 +262,27 @@ class TestCluster:
         assert primary_total == 30
         assert replica_total == 30
 
+    def test_unsorted_read_order_repeats_on_reused_cluster(self):
+        # Read order feeds model training, so it may depend only on the
+        # documents inserted, never on memory addresses or global ids.
+        cluster = DatabaseCluster(n_shards=3)
+        cluster.create_index("c", "k")
+        orders = []
+        for _ in range(3):
+            cluster.insert_many("c", [{"k": i % 4, "n": i} for i in range(60)])
+            orders.append((
+                [d["n"] for d in cluster.find("c")],
+                [d["n"] for d in cluster.find("c", {"k": 1})],
+            ))
+            cluster.delete_many("c")
+        assert orders[0] == orders[1] == orders[2]
+
+    def test_find_by_id_finds_keyless_inserts(self):
+        cluster = DatabaseCluster(n_shards=3)
+        ids = [cluster.insert_one("c", {"n": i}) for i in range(30)]
+        for n, _id in enumerate(ids):
+            assert [d["n"] for d in cluster.find("c", {"_id": _id})] == [n]
+
     def test_failed_shard_raises_when_pinned(self):
         cluster = DatabaseCluster(n_shards=2, shard_key="k", replication=1)
         cluster.insert_one("c", {"k": 1})
