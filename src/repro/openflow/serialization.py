@@ -368,36 +368,54 @@ def _pack_body(msg: OpenFlowMessage) -> bytes:
 
 
 def unpack_message(buf: bytes) -> OpenFlowMessage:
-    """Decode bytes produced by :func:`pack_message` back into a message."""
+    """Decode bytes produced by :func:`pack_message` back into a message.
+
+    Any malformed frame raises :class:`OpenFlowError`: a header length
+    that disagrees with the buffer (modulo 2**16, as packed), a body that
+    is cut short or undecodable, or one that leaves bytes unread.
+    """
     if len(buf) < _HEADER.size:
         raise OpenFlowError("buffer shorter than OpenFlow header")
-    _version, msg_type_raw, _length, xid = _HEADER.unpack_from(buf, 0)
-    offset = _HEADER.size
-    (dpid,) = struct.unpack_from("!Q", buf, offset)
-    offset += 8
+    _version, msg_type_raw, length, xid = _HEADER.unpack_from(buf, 0)
+    if length != len(buf) & 0xFFFF:
+        raise OpenFlowError(
+            f"header length {length} disagrees with {len(buf)}-byte frame"
+        )
     try:
         msg_type = MessageType(msg_type_raw)
     except ValueError as exc:
         raise OpenFlowError(f"unknown message type {msg_type_raw}") from exc
-    msg = _unpack_body(msg_type, buf, offset)
+    try:
+        (dpid,) = struct.unpack_from("!Q", buf, _HEADER.size)
+        msg, end = _unpack_body(msg_type, buf, _HEADER.size + 8)
+    except (struct.error, IndexError, ValueError) as exc:
+        # ValueError covers bad enum codes and UnicodeDecodeError.
+        raise OpenFlowError(f"malformed {msg_type.name} body: {exc}") from exc
+    if end != len(buf):
+        raise OpenFlowError(
+            f"{msg_type.name} body ends at byte {end} of {len(buf)}"
+        )
     msg.dpid = dpid
     msg.xid = xid
     return msg
 
 
-def _unpack_body(msg_type: MessageType, buf: bytes, offset: int) -> OpenFlowMessage:
+def _unpack_body(
+    msg_type: MessageType, buf: bytes, offset: int
+) -> Tuple[OpenFlowMessage, int]:
+    """Decode one body; returns the message and the offset it ends at."""
     if msg_type == MessageType.HELLO:
-        return Hello(version=buf[offset])
+        return Hello(version=buf[offset]), offset + 1
     if msg_type == MessageType.ECHO_REQUEST:
-        return EchoRequest()
+        return EchoRequest(), offset
     if msg_type == MessageType.ECHO_REPLY:
-        return EchoReply()
+        return EchoReply(), offset
     if msg_type == MessageType.FEATURES_REQUEST:
-        return FeaturesRequest()
+        return FeaturesRequest(), offset
     if msg_type == MessageType.BARRIER_REQUEST:
-        return BarrierRequest()
+        return BarrierRequest(), offset
     if msg_type == MessageType.BARRIER_REPLY:
-        return BarrierReply()
+        return BarrierReply(), offset
     if msg_type == MessageType.FEATURES_REPLY:
         n_tables = buf[offset]
         offset += 1
@@ -408,32 +426,32 @@ def _unpack_body(msg_type: MessageType, buf: bytes, offset: int) -> OpenFlowMess
             (port,) = struct.unpack_from("!I", buf, offset)
             offset += 4
             ports.append(port)
-        return FeaturesReply(n_tables=n_tables, ports=ports)
+        return FeaturesReply(n_tables=n_tables, ports=ports), offset
     if msg_type == MessageType.PACKET_IN:
         buffer_id, in_port, reason, total_len = struct.unpack_from(
             "!iIBI", buf, offset
         )
         offset += struct.calcsize("!iIBI")
-        headers, _ = _unpack_dict(buf, offset)
+        headers, offset = _unpack_dict(buf, offset)
         return PacketIn(
             buffer_id=buffer_id,
             in_port=in_port,
             reason=PacketInReason(reason),
             total_len=total_len,
             headers=headers,
-        )
+        ), offset
     if msg_type == MessageType.PACKET_OUT:
         buffer_id, in_port, total_len = struct.unpack_from("!iII", buf, offset)
         offset += struct.calcsize("!iII")
         actions, offset = _unpack_actions(buf, offset)
-        headers, _ = _unpack_dict(buf, offset)
+        headers, offset = _unpack_dict(buf, offset)
         return PacketOut(
             buffer_id=buffer_id,
             in_port=in_port,
             total_len=total_len,
             actions=actions,
             headers=headers,
-        )
+        ), offset
     if msg_type == MessageType.FLOW_MOD:
         command, priority, idle, hard, cookie, table_id = struct.unpack_from(
             "!BIddQB", buf, offset
@@ -442,7 +460,7 @@ def _unpack_body(msg_type: MessageType, buf: bytes, offset: int) -> OpenFlowMess
         match, offset = _unpack_match(buf, offset)
         actions, offset = _unpack_actions(buf, offset)
         app_id, offset = _unpack_value(buf, offset)
-        out_port, _ = _unpack_value(buf, offset)
+        out_port, offset = _unpack_value(buf, offset)
         return FlowMod(
             command=FlowModCommand(command),
             match=match,
@@ -454,14 +472,14 @@ def _unpack_body(msg_type: MessageType, buf: bytes, offset: int) -> OpenFlowMess
             table_id=table_id,
             app_id=app_id,
             out_port=out_port,
-        )
+        ), offset
     if msg_type == MessageType.FLOW_REMOVED:
         priority, reason, duration, pkts, bytes_, cookie = struct.unpack_from(
             "!IBdQQQ", buf, offset
         )
         offset += struct.calcsize("!IBdQQQ")
         match, offset = _unpack_match(buf, offset)
-        app_id, _ = _unpack_value(buf, offset)
+        app_id, offset = _unpack_value(buf, offset)
         return FlowRemoved(
             match=match,
             priority=priority,
@@ -471,12 +489,12 @@ def _unpack_body(msg_type: MessageType, buf: bytes, offset: int) -> OpenFlowMess
             byte_count=bytes_,
             cookie=cookie,
             app_id=app_id,
-        )
+        ), offset
     if msg_type == MessageType.PORT_STATUS:
         port_no, reason, link_up = struct.unpack_from("!IBB", buf, offset)
         return PortStatus(
             port_no=port_no, reason=PortReason(reason), link_up=bool(link_up)
-        )
+        ), offset + struct.calcsize("!IBB")
     if msg_type == MessageType.STATS_REQUEST:
         return _unpack_stats_request(buf, offset)
     if msg_type == MessageType.STATS_REPLY:
@@ -484,26 +502,28 @@ def _unpack_body(msg_type: MessageType, buf: bytes, offset: int) -> OpenFlowMess
     raise OpenFlowError(f"cannot decode message type {msg_type!r}")
 
 
-def _unpack_stats_request(buf: bytes, offset: int) -> OpenFlowMessage:
+def _unpack_stats_request(
+    buf: bytes, offset: int
+) -> Tuple[OpenFlowMessage, int]:
     subtype = StatsType(buf[offset])
     offset += 1
     if subtype == StatsType.FLOW:
         table_id = buf[offset]
         offset += 1
-        match, _ = _unpack_match(buf, offset)
-        return FlowStatsRequest(match=match, table_id=table_id)
+        match, offset = _unpack_match(buf, offset)
+        return FlowStatsRequest(match=match, table_id=table_id), offset
     if subtype == StatsType.PORT:
-        port_no, _ = _unpack_value(buf, offset)
-        return PortStatsRequest(port_no=port_no)
+        port_no, offset = _unpack_value(buf, offset)
+        return PortStatsRequest(port_no=port_no), offset
     if subtype == StatsType.AGGREGATE:
-        match, _ = _unpack_match(buf, offset)
-        return AggregateStatsRequest(match=match)
+        match, offset = _unpack_match(buf, offset)
+        return AggregateStatsRequest(match=match), offset
     if subtype == StatsType.TABLE:
-        return TableStatsRequest()
+        return TableStatsRequest(), offset
     raise OpenFlowError(f"cannot decode stats request subtype {subtype!r}")
 
 
-def _unpack_stats_reply(buf: bytes, offset: int) -> OpenFlowMessage:
+def _unpack_stats_reply(buf: bytes, offset: int) -> Tuple[OpenFlowMessage, int]:
     subtype = StatsType(buf[offset])
     offset += 1
     if subtype == StatsType.FLOW:
@@ -531,7 +551,7 @@ def _unpack_stats_reply(buf: bytes, offset: int) -> OpenFlowMessage:
                     table_id=table_id,
                 )
             )
-        return FlowStatsReply(entries=entries)
+        return FlowStatsReply(entries=entries), offset
     if subtype == StatsType.PORT:
         (count,) = struct.unpack_from("!I", buf, offset)
         offset += 4
@@ -541,12 +561,12 @@ def _unpack_stats_reply(buf: bytes, offset: int) -> OpenFlowMessage:
             values = fixed.unpack_from(buf, offset)
             offset += fixed.size
             entries.append(PortStatsEntry(*values))
-        return PortStatsReply(entries=entries)
+        return PortStatsReply(entries=entries), offset
     if subtype == StatsType.AGGREGATE:
         packets, bytes_, flows = struct.unpack_from("!QQI", buf, offset)
         return AggregateStatsReply(
             packet_count=packets, byte_count=bytes_, flow_count=flows
-        )
+        ), offset + struct.calcsize("!QQI")
     if subtype == StatsType.TABLE:
         (count,) = struct.unpack_from("!I", buf, offset)
         offset += 4
@@ -556,7 +576,7 @@ def _unpack_stats_reply(buf: bytes, offset: int) -> OpenFlowMessage:
             values = fixed.unpack_from(buf, offset)
             offset += fixed.size
             entries.append(TableStatsEntry(*values))
-        return TableStatsReply(entries=entries)
+        return TableStatsReply(entries=entries), offset
     raise OpenFlowError(f"cannot decode stats reply subtype {subtype!r}")
 
 

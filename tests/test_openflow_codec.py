@@ -7,9 +7,12 @@ ATH4xx) and exercised at runtime here, parametrized over the same
 """
 
 import dataclasses
+import random
+import struct
 
 import pytest
 
+from repro.errors import OpenFlowError
 from repro.openflow import messages as msgs
 from repro.openflow.actions import ActionController, ActionOutput, ActionSetIpDst
 from repro.openflow.constants import (
@@ -139,7 +142,36 @@ class TestRegistryCompleteness:
             assert _sample(cls).msg_type == wire_type
 
     def test_abstract_messages_are_rejected(self):
-        from repro.errors import OpenFlowError
-
         with pytest.raises(OpenFlowError, match="codec registration"):
             pack_message(msgs.StatsRequest())
+
+
+@pytest.mark.parametrize(
+    "cls", sorted(CODEC_REGISTRY, key=lambda c: c.__name__), ids=lambda c: c.__name__
+)
+class TestMalformedFrames:
+    """The codec is a trust boundary: bad frames raise OpenFlowError only."""
+
+    def test_every_truncation_is_rejected(self, cls):
+        frame = pack_message(_sample(cls))
+        for cut in range(len(frame)):
+            with pytest.raises(OpenFlowError):
+                unpack_message(frame[:cut])
+
+    def test_trailing_bytes_are_rejected(self, cls):
+        padded = bytearray(pack_message(_sample(cls)) + b"\x00")
+        struct.pack_into("!H", padded, 2, len(padded) & 0xFFFF)
+        with pytest.raises(OpenFlowError, match="ends at byte"):
+            unpack_message(bytes(padded))
+
+    def test_bit_flips_raise_only_openflow_error(self, cls):
+        frame = pack_message(_sample(cls))
+        rng = random.Random(cls.__name__)
+        for _ in range(300):
+            bit = rng.randrange(len(frame) * 8)
+            flipped = bytearray(frame)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            try:
+                unpack_message(bytes(flipped))
+            except OpenFlowError:
+                pass
