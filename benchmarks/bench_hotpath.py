@@ -1,8 +1,9 @@
 """The hot-path regression bench behind ``BENCH_hotpath.json``.
 
 Measures the three layers the hot-path overhaul touched (docs/PERF.md),
-each fast-vs-reference on identical workloads, and asserts equivalence
-before reporting a speedup:
+each shipped-vs-reference on identical workloads, and asserts
+equivalence before reporting a speedup.  The reference side is the
+oracle code of ``tests/oracles.py``, installed for the slow runs only:
 
 * ``exact_match_lookup`` — packets/sec through a 1k-entry flow table
   whose probes hit the exact-match hash index (gate: >= 5x full mode,
@@ -20,18 +21,29 @@ artifact CI uploads; a full run's output is committed at the repo root.
 """
 
 import argparse
+import pathlib
 import sys
+from contextlib import contextmanager, nullcontext
+
+import pytest
 
 from repro.dataplane.flowtable import FlowTable
 from repro.distdb.collection import Collection
 from repro.openflow.flow import FlowEntry
 from repro.openflow.match import Match
-from repro.perf import (
-    BenchResult,
-    HotpathReport,
-    fast_path_scope,
-    measure_throughput,
-)
+from repro.perf import BenchResult, HotpathReport, measure_throughput
+
+# The oracles live with the tests, one level up from this directory.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from tests import oracles  # noqa: E402
+
+
+@contextmanager
+def _reference():
+    """Route matches and collection reads through the oracles."""
+    with pytest.MonkeyPatch.context() as patch:
+        oracles.install(patch)
+        yield
 
 # -- deterministic workloads (no RNG: the same data every run) -------------
 
@@ -65,8 +77,8 @@ def _miss_headers(i):
     }
 
 
-def _build_table(fast_path, n_exact):
-    table = FlowTable(fast_path=fast_path)
+def _build_table(table_cls, n_exact):
+    table = table_cls()
     for i in range(n_exact):
         entry = FlowEntry(
             match=Match.exact_from_headers(_flow_headers(i)), priority=100
@@ -98,26 +110,24 @@ def _bench_exact_match(quick):
     n_probes = 150 if quick else 500
     probes = [_flow_headers(i * 2 % n_exact) for i in range(n_probes)]
     probes += [_miss_headers(i) for i in range(n_probes // 5)]
-    fast_table = _build_table(True, n_exact)
-    slow_table = _build_table(False, n_exact)
+    fast_table = _build_table(FlowTable, n_exact)
+    slow_table = _build_table(oracles.ReferenceFlowTable, n_exact)
 
-    with fast_path_scope(True):
-        fast_winners = [_winner_signature(fast_table.lookup(h)) for h in probes]
-    with fast_path_scope(False):
+    fast_winners = [_winner_signature(fast_table.lookup(h)) for h in probes]
+    with _reference():
         slow_winners = [_winner_signature(slow_table.lookup(h)) for h in probes]
     equivalent = fast_winners == slow_winners
 
     fast_repeat = 10 if quick else 40
 
     def run_fast():
-        with fast_path_scope(True):
-            lookup = fast_table.lookup
-            for _ in range(fast_repeat):
-                for headers in probes:
-                    lookup(headers)
+        lookup = fast_table.lookup
+        for _ in range(fast_repeat):
+            for headers in probes:
+                lookup(headers)
 
     def run_slow():
-        with fast_path_scope(False):
+        with _reference():
             lookup = slow_table.lookup
             for headers in probes:
                 lookup(headers)
@@ -183,11 +193,10 @@ def _bench_indexed_find(quick):
     collection.insert_many(_feature_doc(i) for i in range(n_docs))
     queries = _feature_queries(n_queries)
 
-    with fast_path_scope(True):
-        read_before = collection.bytes_read
-        fast_batches = _run_queries(collection, queries)
-        fast_bytes = collection.bytes_read - read_before
-    with fast_path_scope(False):
+    read_before = collection.bytes_read
+    fast_batches = _run_queries(collection, queries)
+    fast_bytes = collection.bytes_read - read_before
+    with _reference():
         read_before = collection.bytes_read
         slow_batches = _run_queries(collection, queries)
         slow_bytes = collection.bytes_read - read_before
@@ -197,12 +206,11 @@ def _bench_indexed_find(quick):
     fast_repeat = 10 if quick else 50
 
     def run_fast():
-        with fast_path_scope(True):
-            for _ in range(fast_repeat):
-                _run_queries(collection, queries)
+        for _ in range(fast_repeat):
+            _run_queries(collection, queries)
 
     def run_slow():
-        with fast_path_scope(False):
+        with _reference():
             _run_queries(collection, queries)
 
     rounds = 2 if quick else 3
@@ -231,14 +239,13 @@ def _bench_match_predicate(quick):
     miss = _flow_headers(1)
     n = 5_000 if quick else 50_000
 
-    with fast_path_scope(True):
-        fast_verdicts = (match.matches(hit), match.matches(miss))
-    with fast_path_scope(False):
+    fast_verdicts = (match.matches(hit), match.matches(miss))
+    with _reference():
         slow_verdicts = (match.matches(hit), match.matches(miss))
 
     def run(enabled):
         def body():
-            with fast_path_scope(enabled):
+            with nullcontext() if enabled else _reference():
                 matches = match.matches
                 for _ in range(n // 2):
                     matches(hit)

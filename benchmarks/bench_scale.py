@@ -52,7 +52,7 @@ from repro.core.query import GenerateQuery
 from repro.dataplane.topologies import linear_topology
 from repro.distdb import ColumnStoreCluster, DatabaseCluster
 from repro.distdb.frame import ChunkExtractor, assemble_chunks
-from repro.perf import BenchResult, HotpathReport, columnar_scope, measure_throughput
+from repro.perf import BenchResult, HotpathReport, columnar, measure_throughput
 from repro.telemetry.clocks import Stopwatch
 from repro.workloads.ddos import DDOS_FEATURES, DDoSDatasetGenerator, DDoSDatasetSpec
 
@@ -343,7 +343,7 @@ def _bench_insert_many(quick):
 
 
 def _timed_detection(app, test_documents, enabled):
-    with columnar_scope(enabled):
+    with columnar.scope(enabled):
         watch = Stopwatch()
         summary = app.run_batch(test_documents=test_documents)
         elapsed = watch.elapsed()

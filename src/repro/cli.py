@@ -57,9 +57,9 @@ def _cmd_ddos(args: argparse.Namespace) -> int:
     from repro.workloads.ddos import DDoSDatasetGenerator, DDoSDatasetSpec
 
     if args.columnar:
-        from repro.perf import set_columnar
+        from repro.perf import columnar
 
-        set_columnar(True)
+        columnar.set(True)
     generator = DDoSDatasetGenerator(DDoSDatasetSpec(scale=args.scale))
     documents = generator.generate()
     train, test = generator.train_test_split(documents)

@@ -6,20 +6,15 @@ specific match wins (a deterministic tie-break the spec leaves undefined).
 The table also implements strict/non-strict modify and delete, and timeout
 scanning that yields evicted entries so the switch can emit FLOW_REMOVED.
 
-Two implementations share this class (docs/PERF.md):
-
-* the **fast path** (default) keeps three auxiliary structures in sync —
-  an exact-match hash index from a match's full header tuple to its
-  entries, a priority-ordered bucket of wildcard entries consulted only
-  up to the exact hit's precedence, and a lazy min-heap of expiry
-  deadlines so an idle table costs O(1) per timeout tick.  Inserts
-  bisect into the precedence-sorted list instead of re-sorting.
-* the **reference path** (``ATHENA_FAST_PATH=0``) is the original
-  linear-scan implementation, retained verbatim as the equivalence
-  oracle for scenario tests and ``benchmarks/bench_hotpath.py``.
-
-Both paths return identical winners, counters, and eviction sequences;
-evictions and stats selections are reported in precedence order.
+Besides the precedence-sorted entry list, the table keeps three
+auxiliary structures in sync (docs/PERF.md): an exact-match hash index
+from a match's full header tuple to its entries, a priority-ordered
+bucket of wildcard entries consulted only up to the exact hit's
+precedence, and a lazy min-heap of expiry deadlines so an idle table
+costs O(1) per timeout tick.  Inserts bisect into the sorted list
+instead of re-sorting.  Evictions and stats selections are reported in
+precedence order.  The original linear-scan table lives on in
+``tests/oracles.py`` as the differential oracle for all of this.
 """
 
 # athena-lint: hot-path
@@ -34,7 +29,6 @@ from repro.errors import DataPlaneError
 from repro.openflow.constants import FlowRemovedReason
 from repro.openflow.flow import FlowEntry
 from repro.openflow.match import MATCH_FIELDS, Match
-from repro.perf import fastpath as _fastpath
 
 #: Header names probed by the exact-match index, frozen locally so the
 #: lookup loop never re-reads the module global.
@@ -44,21 +38,14 @@ _FIELDS = MATCH_FIELDS
 class FlowTable:
     """One flow table of a switch."""
 
-    def __init__(
-        self,
-        table_id: int = 0,
-        max_entries: int = 65536,
-        fast_path: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, table_id: int = 0, max_entries: int = 65536) -> None:
         self.table_id = table_id
         self.max_entries = max_entries
-        self.fast_path = _fastpath.ENABLED if fast_path is None else bool(fast_path)
+        #: Every entry, precedence-sorted.
         self._entries: List[FlowEntry] = []
-        self._sorted = True
         self.lookup_count = 0
         self.matched_count = 0
-        # Fast-path structures (empty and unused on the reference path):
-        # match key tuple -> entries with exactly that match, best first.
+        #: Match key tuple -> entries with exactly that match, best first.
         self._by_match: Dict[Tuple[Any, ...], List[FlowEntry]] = {}
         #: Entries with at least one wildcarded field, precedence-sorted.
         self._wildcards: List[FlowEntry] = []
@@ -72,21 +59,14 @@ class FlowTable:
         return len(self._entries)
 
     def __iter__(self):
-        self._ensure_sorted()
         return iter(list(self._entries))
-
-    def _ensure_sorted(self) -> None:
-        if not self._sorted:
-            self._entries.sort(key=FlowEntry.sort_key)
-            self._sorted = True
 
     @property
     def entries(self) -> List[FlowEntry]:
         """Entries in match-precedence order (copy)."""
-        self._ensure_sorted()
         return list(self._entries)
 
-    # -- fast-path index maintenance --------------------------------------
+    # -- index maintenance -------------------------------------------------
 
     def _index_insert(self, entry: FlowEntry) -> None:
         insort_right(self._entries, entry, key=FlowEntry.sort_key)
@@ -150,51 +130,28 @@ class FlowTable:
 
     def insert(self, entry: FlowEntry, now: float) -> FlowEntry:
         """Add an entry; an identical (match, priority) pair is replaced,
-        preserving OpenFlow overlap semantics for ADD."""
+        preserving OpenFlow overlap semantics for ADD.
+
+        Capacity is checked after the replaced entry is gone, so a
+        re-issued ADD on a full table replaces instead of failing.
+        """
+        for existing in list(self._by_match.get(entry.match.key_tuple(), ())):
+            if existing.priority == entry.priority:
+                self._index_remove(existing)
         if len(self._entries) >= self.max_entries:
             raise DataPlaneError(
                 f"flow table {self.table_id} full ({self.max_entries} entries)"
             )
-        if self.fast_path:
-            bucket = self._by_match.get(entry.match.key_tuple(), ())
-            for existing in list(bucket):
-                if existing.priority == entry.priority:
-                    self._index_remove(existing)
-            entry.table_id = self.table_id
-            entry.stats.install_time = now
-            entry.stats.last_packet_time = now
-            self._index_insert(entry)
-            return entry
-        self._entries = [
-            existing
-            for existing in self._entries
-            if not (
-                existing.priority == entry.priority
-                and existing.match == entry.match
-            )
-        ]
         entry.table_id = self.table_id
         entry.stats.install_time = now
         entry.stats.last_packet_time = now
-        self._entries.append(entry)
-        self._sorted = False
+        self._index_insert(entry)
         return entry
 
     # -- lookup ------------------------------------------------------------
 
     def lookup(self, headers: Dict[str, Any]) -> Optional[FlowEntry]:
         """Find the winning entry for a packet-header dict."""
-        if self.fast_path:
-            return self._lookup_fast(headers)
-        self._ensure_sorted()
-        self.lookup_count += 1
-        for entry in self._entries:
-            if entry.match.matches(headers):
-                self.matched_count += 1
-                return entry
-        return None
-
-    def _lookup_fast(self, headers: Dict[str, Any]) -> Optional[FlowEntry]:
         self.lookup_count += 1
         get = headers.get
         try:
@@ -247,30 +204,21 @@ class FlowTable:
 
         Returns the number of entries touched.  Non-strict modify touches
         every entry whose match is a subset of ``match``; strict requires an
-        exact (match, priority) pair.  Entries are visited in precedence
-        order on both paths, and strict modify resolves its targets through
-        the same exact-match index insert uses.
+        exact (match, priority) pair and resolves its targets through the
+        same exact-match index insert uses.  Entries are visited in
+        precedence order.
         """
-        if strict and self.fast_path:
-            touched = 0
-            for entry in list(self._by_match.get(match.key_tuple(), ())):
-                if priority is None or entry.priority == priority:
-                    entry.actions = list(actions)
-                    touched += 1
-            return touched
-        self._ensure_sorted()
-        touched = 0
-        for entry in self._entries:
-            if strict:
-                hit = entry.match == match and (
-                    priority is None or entry.priority == priority
-                )
-            else:
-                hit = entry.match.is_subset_of(match)
-            if hit:
-                entry.actions = list(actions)
-                touched += 1
-        return touched
+        if strict:
+            targets = [
+                entry
+                for entry in self._by_match.get(match.key_tuple(), ())
+                if priority is None or entry.priority == priority
+            ]
+        else:
+            targets = [e for e in self._entries if e.match.is_subset_of(match)]
+        for entry in targets:
+            entry.actions = list(actions)
+        return len(targets)
 
     def delete(
         self,
@@ -280,8 +228,6 @@ class FlowTable:
         out_port: Optional[int] = None,
     ) -> List[FlowEntry]:
         """DELETE / DELETE_STRICT: remove covered entries and return them."""
-        self._ensure_sorted()
-        kept: List[FlowEntry] = []
         removed: List[FlowEntry] = []
         for entry in self._entries:
             if strict:
@@ -297,12 +243,10 @@ class FlowTable:
                     getattr(action, "port", None) == out_port  # athena-lint: disable=ATH602
                     for action in entry.actions
                 )
-            (removed if hit else kept).append(entry)
-        if self.fast_path:
-            for entry in removed:
-                self._index_remove(entry)
-        else:
-            self._entries = kept
+            if hit:
+                removed.append(entry)
+        for entry in removed:
+            self._index_remove(entry)
         return removed
 
     # -- expiry --------------------------------------------------------------
@@ -310,26 +254,10 @@ class FlowTable:
     def expire(self, now: float) -> List[Tuple[FlowEntry, FlowRemovedReason]]:
         """Evict timed-out entries, returning them with the eviction reason.
 
-        Evictions are reported in precedence order on both paths.  The fast
-        path consults the deadline heap first, so a tick with nothing to
-        evict costs O(1) regardless of table size.
+        Evictions are reported in precedence order.  The deadline heap is
+        consulted first, so a tick with nothing to evict costs O(1)
+        regardless of table size.
         """
-        if self.fast_path:
-            return self._expire_fast(now)
-        self._ensure_sorted()
-        expired: List[Tuple[FlowEntry, FlowRemovedReason]] = []
-        kept: List[FlowEntry] = []
-        for entry in self._entries:
-            if entry.is_hard_expired(now):
-                expired.append((entry, FlowRemovedReason.HARD_TIMEOUT))
-            elif entry.is_idle_expired(now):
-                expired.append((entry, FlowRemovedReason.IDLE_TIMEOUT))
-            else:
-                kept.append(entry)
-        self._entries = kept
-        return expired
-
-    def _expire_fast(self, now: float) -> List[Tuple[FlowEntry, FlowRemovedReason]]:
         heap = self._heap
         doomed: Dict[int, FlowRemovedReason] = {}
         while heap and heap[0][0] <= now:
@@ -363,20 +291,11 @@ class FlowTable:
 
     def find(self, match: Match, priority: Optional[int] = None) -> Optional[FlowEntry]:
         """Exact (match, priority) lookup, for tests and the controller."""
-        if self.fast_path:
-            for entry in self._by_match.get(match.key_tuple(), ()):
-                if priority is None or entry.priority == priority:
-                    return entry
-            return None
-        self._ensure_sorted()
-        for entry in self._entries:
-            if entry.match == match and (
-                priority is None or entry.priority == priority
-            ):
+        for entry in self._by_match.get(match.key_tuple(), ()):
+            if priority is None or entry.priority == priority:
                 return entry
         return None
 
     def select(self, match: Match) -> Iterable[FlowEntry]:
         """Entries whose match is a subset of ``match`` (stats filtering)."""
-        self._ensure_sorted()
         return [e for e in self._entries if e.match.is_subset_of(match)]

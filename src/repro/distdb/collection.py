@@ -5,14 +5,14 @@ Equality lookups on indexed fields use the hash index; everything else scans.
 The collection also counts operations and approximate bytes handled, which
 the Cbench experiment uses to report where overhead went.
 
-Reads take a zero-copy fast path by default (docs/PERF.md): ``find``
-filters the raw stored documents, memoizes each document's byte estimate
-per ``_id`` (invalidated on update/delete), sorts and limits *before*
-copying, and only the surviving documents are copied out.  Compound
-``(field, field)`` hash indexes serve the feature store's per-flow
-queries, whose filters pin a pair of fields inside an ``$and``.  With
-``ATHENA_FAST_PATH=0`` the original copy-then-trim read path runs
-instead; both return identical results and identical byte accounting.
+Reads are zero-copy (docs/PERF.md): ``find`` filters the raw stored
+documents, memoizes each document's byte estimate per ``_id``
+(invalidated on update/delete), sorts and limits *before* copying, and
+only the surviving documents are copied out.  Compound ``(field, field)``
+hash indexes serve the feature store's per-flow queries, whose filters
+pin a pair of fields inside an ``$and``.  The original copy-then-trim
+read path lives on in ``tests/oracles.py`` as the differential oracle:
+it returns identical results and identical byte accounting.
 """
 
 # athena-lint: hot-path
@@ -24,9 +24,7 @@ from collections import defaultdict
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.distdb.query import (
-    MISSING,
     collect_equality_pins,
-    equality_pin,
     filter_documents,
     get_path,
     matches_filter,
@@ -34,7 +32,6 @@ from repro.distdb.query import (
     validate_filter,
 )
 from repro.errors import DatabaseError
-from repro.perf import fastpath as _fastpath
 
 _id_counter = itertools.count(1)
 
@@ -65,7 +62,8 @@ class Collection:
         self._docs: Dict[Any, Dict[str, Any]] = {}
         #: field -> value -> bucket of _ids.  Buckets are dicts used as
         #: insertion-ordered sets, so an index-served read returns
-        #: documents in insertion order, whatever their ``_id`` values.
+        #: documents in write order (insert or latest update), whatever
+        #: their ``_id`` values — the order a full scan visits them in.
         self._indexes: Dict[str, Dict[Any, Dict[Any, None]]] = {}
         #: (field, ...) tuple -> value tuple -> _ids; maintained alongside
         #: the single-field indexes and consulted first when a filter pins
@@ -161,10 +159,15 @@ class Collection:
         touched = 0
         for doc in list(self._candidates(filter_)):
             if matches_filter(doc, filter_):
+                _id = doc["_id"]
                 self._index_remove(doc)
                 doc.update(changes)
+                # The update re-files the document as the latest write in
+                # the scan order as in every index bucket, so indexed and
+                # scanning reads return matches in the same order.
+                self._docs[_id] = self._docs.pop(_id)
                 self._index_add(doc)
-                self._size_cache.pop(doc["_id"], None)
+                self._size_cache.pop(_id, None)
                 touched += 1
         self.ops["update"] += 1
         return touched
@@ -185,20 +188,10 @@ class Collection:
         """Use a hash index when the filter pins an indexed field.
 
         ``None`` is a legitimate pinned value (the sentinel-based pin
-        extraction keeps "pinned to None" distinct from "not pinned"); on
-        the fast path, pins inside ``$and`` conjuncts count and compound
-        indexes are consulted before single-field ones.
+        extraction keeps "pinned to None" distinct from "not pinned"); pins
+        inside ``$and`` conjuncts count, and compound indexes are
+        consulted before single-field ones.
         """
-        if not _fastpath.ENABLED:
-            for field in self._indexes:
-                value = equality_pin(filter_, field)
-                if value is not MISSING:
-                    try:
-                        ids = self._indexes[field].get(value, ())
-                    except TypeError:  # unhashable pin value
-                        continue
-                    return [self._docs[_id] for _id in ids if _id in self._docs]
-            return self._docs.values()
         pins = collect_equality_pins(filter_)
         if pins:
             for fields, index in self._compound_indexes.items():
@@ -243,38 +236,15 @@ class Collection:
         """Query the collection. ``sort`` is a list of (field, +1/-1)."""
         validate_filter(filter_)
         self.ops["find"] += 1
-        if not _fastpath.ENABLED:
-            return self._find_reference(filter_, sort, limit, projection)
         matched = list(filter_documents(self._candidates(filter_), filter_))
         # Byte accounting covers every matched document (pre-limit), with
-        # the same totals as the reference path — just memoized.
+        # the same totals as a copy-every-match read — just memoized.
         self.bytes_read += sum(self._approx_size_cached(d) for d in matched)
         if sort:
             sort_documents(matched, sort)
         if limit is not None:
             matched = matched[: max(0, limit)]
         results = [dict(doc) for doc in matched]
-        if projection:
-            keep = set(projection) | {"_id"}
-            results = [{k: v for k, v in doc.items() if k in keep} for doc in results]
-        return results
-
-    def _find_reference(
-        self,
-        filter_: Optional[Dict[str, Any]],
-        sort: Optional[List[Tuple[str, int]]],
-        limit: Optional[int],
-        projection: Optional[List[str]],
-    ) -> List[Dict[str, Any]]:
-        """The original copy-then-trim read path (``ATHENA_FAST_PATH=0``)."""
-        results = [
-            dict(doc) for doc in filter_documents(self._candidates(filter_), filter_)
-        ]
-        self.bytes_read += sum(approx_size(d) for d in results)
-        if sort:
-            sort_documents(results, sort)
-        if limit is not None:
-            results = results[: max(0, limit)]
         if projection:
             keep = set(projection) | {"_id"}
             results = [{k: v for k, v in doc.items() if k in keep} for doc in results]

@@ -24,7 +24,6 @@ from repro.distdb.aggregation import aggregate as _aggregate
 from repro.distdb.frame import FeatureFrame, filter_mask
 from repro.distdb.query import filter_documents, sort_documents, validate_filter
 from repro.errors import DatabaseError
-from repro.perf import fastpath as _fastpath
 from repro.telemetry import get_telemetry
 
 
@@ -252,11 +251,8 @@ class ColumnStoreCluster:
     ) -> List[Dict[str, Any]]:
         self._count_op("find", collection)
         validate_filter(filter_)
-        if not _fastpath.ENABLED:
-            return self._find_reference(collection, filter_, sort, limit, projection)
-        # Zero-copy read (the PR-4 distdb contract): filter the raw stored
-        # documents, sort and trim the *references*, and copy only the
-        # post-limit survivors out.
+        # Zero-copy read: filter the raw stored documents, sort and trim
+        # the *references*, and copy only the post-limit survivors out.
         matched: List[Dict[str, Any]] = []
         for node in self._live_nodes():
             if node.has_family(collection):
@@ -268,35 +264,6 @@ class ColumnStoreCluster:
         if limit is not None:
             matched = matched[: max(0, limit)]
         results = [dict(doc) for doc in matched]
-        if projection:
-            keep = set(projection) | {"_id"}
-            results = [
-                {k: v for k, v in doc.items() if k in keep} for doc in results
-            ]
-        return results
-
-    def _find_reference(
-        self,
-        collection: str,
-        filter_: Optional[Dict[str, Any]],
-        sort: Optional[List[Tuple[str, int]]],
-        limit: Optional[int],
-        projection: Optional[List[str]],
-    ) -> List[Dict[str, Any]]:
-        """The original copy-then-trim scan (``ATHENA_FAST_PATH=0``)."""
-        results: List[Dict[str, Any]] = []
-        for node in self._live_nodes():
-            if node.has_family(collection):
-                results.extend(
-                    dict(doc)
-                    for doc in filter_documents(
-                        node.family(collection).scan(), filter_
-                    )
-                )
-        if sort:
-            sort_documents(results, sort)
-        if limit is not None:
-            results = results[: max(0, limit)]
         if projection:
             keep = set(projection) | {"_id"}
             results = [

@@ -60,13 +60,16 @@ class FlowEntry:
         if self.idle_timeout <= 0:
             return False
         reference = max(self.stats.last_packet_time, self.stats.install_time)
-        return now - reference >= self.idle_timeout
+        # Compared as a deadline sum (not ``now - reference``) so the
+        # verdict is exactly the flow table's expiry-heap arithmetic;
+        # the two forms differ by one rounding step at some instants.
+        return now >= reference + self.idle_timeout
 
     def is_hard_expired(self, now: float) -> bool:
         """True if the hard timeout has elapsed since installation."""
         if self.hard_timeout <= 0:
             return False
-        return now - self.stats.install_time >= self.hard_timeout
+        return now >= self.stats.install_time + self.hard_timeout
 
     def __str__(self) -> str:
         return (

@@ -1,68 +1,10 @@
-"""The ``ATHENA_FAST_PATH`` switch.
+"""The hot paths' mode record.
 
-The indexed flow-table lookup, the compiled :class:`~repro.openflow.match.Match`
-predicate, and the zero-copy document reads all consult one process-wide
-flag.  It defaults to **on**; setting ``ATHENA_FAST_PATH=0`` in the
-environment (or calling :func:`set_fast_path(False) <set_fast_path>`)
-falls back to the original reference implementations.
-
-The escape hatch exists for one reason: equivalence.  The optimized
-paths promise bit-identical behaviour — same winning flow entries, same
-query results, same telemetry-visible counters — and the scenario tests
-plus ``benchmarks/bench_hotpath.py`` enforce that promise by running the
-same workload under both settings and comparing outputs.
-
-Components read the flag at different times (flow tables at
-construction, match predicates per call), so flip it *before* building
-the structures under test — or use :func:`fast_path_scope` which makes
-that explicit.
+The indexed flow table, the compiled match predicate and the zero-copy
+document reads are the only implementations in ``src/``; their original
+reference versions are test oracles in ``tests/oracles.py``
+(docs/PERF.md).  ``ENABLED`` stays so that run records which list the
+mode switches keep their ``fast_path`` field; it is always ``True``.
 """
 
-from __future__ import annotations
-
-import os
-from contextlib import contextmanager
-from typing import Iterator, Optional
-
-#: Environment switch: "0" / "false" / "no" / "off" disable the fast paths.
-ENV_FLAG = "ATHENA_FAST_PATH"
-
-_DISABLING = ("0", "false", "no", "off")
-
-
-def _env_enabled() -> bool:
-    return os.environ.get(ENV_FLAG, "1").strip().lower() not in _DISABLING
-
-
-#: Cached process-wide setting; module-attribute reads keep the per-call
-#: cost of consulting the flag to one dict lookup.
-ENABLED: bool = _env_enabled()
-
-
-def fast_path_enabled() -> bool:
-    """Whether the optimized hot paths are active."""
-    return ENABLED
-
-
-def set_fast_path(enabled: bool) -> None:
-    """Programmatically force the flag (tests and the bench harness)."""
-    global ENABLED
-    ENABLED = bool(enabled)
-
-
-def refresh_fast_path() -> bool:
-    """Re-read ``ATHENA_FAST_PATH`` from the environment; returns it."""
-    global ENABLED
-    ENABLED = _env_enabled()
-    return ENABLED
-
-
-@contextmanager
-def fast_path_scope(enabled: bool) -> Iterator[None]:
-    """Temporarily force the flag, restoring the previous value on exit."""
-    previous = ENABLED
-    set_fast_path(enabled)
-    try:
-        yield
-    finally:
-        set_fast_path(previous)
+ENABLED = True

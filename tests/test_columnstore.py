@@ -167,7 +167,7 @@ class TestColumnStoreBatchAndFrames:
         assert store.count("f") == 2
 
     def test_zero_copy_find_matches_reference(self, store):
-        from repro.perf import fast_path_scope
+        from tests.oracles import columnstore_find
 
         store.insert_many(
             "f",
@@ -178,11 +178,9 @@ class TestColumnStoreBatchAndFrames:
             {"filter_": {"w": 2}, "sort": [("v", -1)], "limit": 3},
             {"projection": ["v"], "sort": [("v", 1)]},
         ):
-            with fast_path_scope(True):
-                fast = store.find("f", **kwargs)
-            with fast_path_scope(False):
-                slow = store.find("f", **kwargs)
-            assert fast == slow
+            assert store.find("f", **kwargs) == columnstore_find(
+                store, "f", **kwargs
+            )
 
     def test_zero_copy_find_returns_copies(self, store):
         store.insert_one("f", {"switch_id": 1, "v": 1})

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from repro.distdb import Collection, DatabaseCluster, aggregate, matches_filter
 from repro.distdb.query import equality_value, get_path, validate_filter
 from repro.errors import DatabaseError, QueryError
+from tests import oracles
 
 
 class TestFilterLanguage:
@@ -370,11 +371,11 @@ class TestIndexAndFastPathRegressions:
     """Regressions from the hot-path overhaul (docs/PERF.md)."""
 
     @pytest.fixture(params=[True, False], ids=["fast", "slow"])
-    def enabled(self, request):
-        from repro.perf import fast_path_scope
-
-        with fast_path_scope(request.param):
-            yield request.param
+    def enabled(self, request, monkeypatch):
+        """The shipped read path, and (``slow``) the reference oracle."""
+        if not request.param:
+            oracles.install(monkeypatch)
+        return request.param
 
     def test_indexed_field_pinned_to_none(self, enabled):
         """{'field': None} must probe the index bucket, not full-scan —
@@ -436,31 +437,26 @@ class TestIndexAndFastPathRegressions:
         assert [d["n"] for d in mixed] == [1, 2, 0, 3]
 
     def test_bytes_read_identical_across_paths(self):
-        from repro.perf import fast_path_scope
-
-        def drive(flag):
+        def drive(find):
             coll = Collection("c")
             coll.create_index("k")
             coll.insert_many({"k": i % 3, "pad": "x" * i} for i in range(30))
-            with fast_path_scope(flag):
-                coll.find({"k": 1}, sort=[("pad", 1)], limit=2)
-                coll.find({"k": {"$gt": 0}})
+            find(coll, {"k": 1}, sort=[("pad", 1)], limit=2)
+            find(coll, {"k": {"$gt": 0}})
             return coll.bytes_read
 
-        assert drive(True) == drive(False)
+        assert drive(Collection.find) == drive(oracles.collection_find)
 
     def test_size_memo_invalidated_on_update(self):
         """After update_many grows a doc, bytes_read reflects the new size."""
         from repro.distdb.collection import approx_size
-        from repro.perf import fast_path_scope
 
         coll = Collection("c")
         coll.insert_one({"k": 1, "pad": "x"})
-        with fast_path_scope(True):
-            coll.find({"k": 1})
-            first = coll.bytes_read
-            coll.update_many({"k": 1}, {"pad": "y" * 100})
-            coll.find({"k": 1})
+        coll.find({"k": 1})
+        first = coll.bytes_read
+        coll.update_many({"k": 1}, {"pad": "y" * 100})
+        coll.find({"k": 1})
         grown = coll.bytes_read - first
         [doc] = coll.find({"k": 1})
         assert grown == approx_size({k: v for k, v in doc.items()})

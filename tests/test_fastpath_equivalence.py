@@ -1,14 +1,15 @@
-"""Bit-identical equivalence of the hot-path overhaul (docs/PERF.md).
+"""Bit-identical equivalence of the hot paths with their oracles (docs/PERF.md).
 
-The fast path (indexed flow tables, compiled matches, zero-copy distdb
-reads) must be invisible to everything above it: the same simulated
-scenario run with ``ATHENA_FAST_PATH`` on and off has to produce the
-same winners, the same evictions, the same query results — and therefore
-the same deterministic telemetry snapshot, byte-for-byte.  Two
-anomaly-shaped mini-scenarios check that end to end: a port scan (one
-source fanning out over many destination ports, exercising many tiny
-exact-match flows and idle expiry) and a DDoS-style flood (several
-sources converging on one target, exercising per-flow feature queries).
+The indexed flow tables, compiled matches and zero-copy distdb reads
+must be invisible to everything above them: the same simulated scenario
+run on them and on the reference implementations of ``tests/oracles.py``
+has to produce the same winners, the same evictions, the same query
+results — and therefore the same deterministic telemetry snapshot,
+byte-for-byte.  Two anomaly-shaped mini-scenarios check that end to end:
+a port scan (one source fanning out over many destination ports,
+exercising many tiny exact-match flows and idle expiry) and a DDoS-style
+flood (several sources converging on one target, exercising per-flow
+feature queries).
 """
 
 import pytest
@@ -16,9 +17,9 @@ import pytest
 from repro.controller import ControllerCluster, ReactiveForwarding
 from repro.core import AthenaDeployment
 from repro.dataplane.topologies import linear_topology
-from repro.perf import fast_path_scope
 from repro.telemetry import configure, reset_telemetry, to_json
 from repro.workloads.flows import FlowSpec, TrafficSchedule
+from tests import oracles
 
 
 @pytest.fixture(autouse=True)
@@ -27,28 +28,34 @@ def _restore_telemetry():
     reset_telemetry()
 
 
-def _run(scenario, enabled):
-    """One deterministic run under the given fast-path setting; returns
-    the JSON-serialized deterministic telemetry snapshot."""
+def _run(scenario):
+    """One deterministic run; returns the JSON-serialized deterministic
+    telemetry snapshot."""
     reset_telemetry()
-    with fast_path_scope(enabled):
-        telemetry = configure(enabled=True)
-        topo = linear_topology(n_switches=2, hosts_per_switch=2)
-        cluster = ControllerCluster(topo.network, n_instances=1)
-        cluster.adopt_all()
-        cluster.start(poll=False)
-        # A short idle timeout so flow expiry (the heap path) fires
-        # repeatedly inside the run.
-        ReactiveForwarding(idle_timeout=1.5).activate(cluster)
-        athena = AthenaDeployment(cluster, athena_poll_interval=1.0)
-        athena.start()
-        schedule = TrafficSchedule(topo.network)
-        schedule.prime_arp()
-        scenario(schedule)
-        topo.network.sim.run(until=4.0)
-        snapshot = telemetry.snapshot(deterministic_only=True)
+    telemetry = configure(enabled=True)
+    topo = linear_topology(n_switches=2, hosts_per_switch=2)
+    cluster = ControllerCluster(topo.network, n_instances=1)
+    cluster.adopt_all()
+    cluster.start(poll=False)
+    # A short idle timeout so flow expiry (the heap path) fires
+    # repeatedly inside the run.
+    ReactiveForwarding(idle_timeout=1.5).activate(cluster)
+    athena = AthenaDeployment(cluster, athena_poll_interval=1.0)
+    athena.start()
+    schedule = TrafficSchedule(topo.network)
+    schedule.prime_arp()
+    scenario(schedule)
+    topo.network.sim.run(until=4.0)
+    snapshot = telemetry.snapshot(deterministic_only=True)
     reset_telemetry()
     return to_json(snapshot)
+
+
+def _run_both(scenario, monkeypatch):
+    """The scenario on the shipped hot paths, then on the oracles."""
+    fast = _run(scenario)
+    oracles.install(monkeypatch)
+    return fast, _run(scenario)
 
 
 def _portscan(schedule):
@@ -87,14 +94,12 @@ def _assert_nontrivial(snapshot_json):
 
 
 class TestFastPathEquivalence:
-    def test_portscan_snapshots_identical(self):
-        fast = _run(_portscan, True)
-        slow = _run(_portscan, False)
+    def test_portscan_snapshots_identical(self, monkeypatch):
+        fast, slow = _run_both(_portscan, monkeypatch)
         _assert_nontrivial(fast)
         assert fast == slow
 
-    def test_ddos_snapshots_identical(self):
-        fast = _run(_ddos_flood, True)
-        slow = _run(_ddos_flood, False)
+    def test_ddos_snapshots_identical(self, monkeypatch):
+        fast, slow = _run_both(_ddos_flood, monkeypatch)
         _assert_nontrivial(fast)
         assert fast == slow

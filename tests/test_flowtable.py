@@ -7,6 +7,7 @@ from repro.dataplane.flowtable import FlowTable
 from repro.errors import DataPlaneError
 from repro.openflow import ActionDrop, ActionOutput, FlowRemovedReason, Match
 from repro.openflow.flow import FlowEntry
+from tests.oracles import ReferenceFlowTable
 
 
 def _entry(priority=10, actions=None, **match_fields):
@@ -60,6 +61,19 @@ class TestLookup:
         table.insert(_entry(tcp_src=2), now=0.0)
         with pytest.raises(DataPlaneError):
             table.insert(_entry(tcp_src=3), now=0.0)
+
+    def test_full_table_accepts_replacement(self, table_cls):
+        """Re-issuing an ADD on a full table replaces, it does not fail."""
+        table = table_cls(max_entries=1)
+        table.insert(_entry(priority=5, tcp_dst=80), now=0.0)
+        replacement = table.insert(
+            _entry(priority=5, actions=[ActionDrop()], tcp_dst=80), now=1.0
+        )
+        assert len(table) == 1
+        assert table.lookup({"tcp_dst": 80}) is replacement
+        with pytest.raises(DataPlaneError):
+            table.insert(_entry(priority=6, tcp_dst=80), now=2.0)
+        assert table.entries == [replacement]
 
 
 class TestModifyDelete:
@@ -216,22 +230,23 @@ def _exact_entry(i=0, priority=10, tcp_dst=80, **overrides):
     return entry
 
 
-@pytest.fixture(params=[True, False], ids=["fast", "slow"])
-def fast(request):
+@pytest.fixture(params=[FlowTable, ReferenceFlowTable], ids=["fast", "slow"])
+def table_cls(request):
+    """The shipped table, and the linear-scan oracle it must agree with."""
     return request.param
 
 
 class TestFastPathSemantics:
     """The indexed fast path keeps exact OpenFlow winner semantics."""
 
-    def test_equal_priority_exact_beats_wildcard(self, fast):
-        table = FlowTable(fast_path=fast)
+    def test_equal_priority_exact_beats_wildcard(self, table_cls):
+        table = table_cls()
         exact = table.insert(_exact_entry(priority=10), now=0.0)
         table.insert(_entry(priority=10, tcp_dst=80), now=0.0)
         assert table.lookup(_exact_headers()) is exact
 
-    def test_exact_shadowed_by_higher_priority_wildcard(self, fast):
-        table = FlowTable(fast_path=fast)
+    def test_exact_shadowed_by_higher_priority_wildcard(self, table_cls):
+        table = table_cls()
         exact = table.insert(_exact_entry(priority=10), now=0.0)
         shadow = table.insert(_entry(priority=20, tcp_dst=80), now=0.0)
         assert table.lookup(_exact_headers()) is shadow
@@ -240,15 +255,15 @@ class TestFastPathSemantics:
         table.delete(Match(tcp_dst=80), priority=20, strict=True)
         assert table.lookup(_exact_headers()) is exact
 
-    def test_wildcard_between_exact_priorities(self, fast):
-        table = FlowTable(fast_path=fast)
+    def test_wildcard_between_exact_priorities(self, table_cls):
+        table = table_cls()
         table.insert(_exact_entry(priority=5), now=0.0)
         high = table.insert(_exact_entry(priority=30), now=0.0)
         table.insert(_entry(priority=20, tcp_dst=80), now=0.0)
         assert table.lookup(_exact_headers()) is high
 
-    def test_expiry_order_follows_precedence(self, fast):
-        table = FlowTable(fast_path=fast)
+    def test_expiry_order_follows_precedence(self, table_cls):
+        table = table_cls()
         entries = []
         for i, priority in enumerate((5, 50, 20)):
             entry = _exact_entry(i, priority=priority, hard_timeout=1.0)
@@ -262,8 +277,8 @@ class TestFastPathSemantics:
         }
         assert len(table) == 0
 
-    def test_heap_reschedules_after_idle_refresh(self, fast):
-        table = FlowTable(fast_path=fast)
+    def test_heap_reschedules_after_idle_refresh(self, table_cls):
+        table = table_cls()
         entry = table.insert(_exact_entry(idle_timeout=2.0), now=0.0)
         assert table.expire(1.5) == []
         entry.stats.record(100, now=1.5)
@@ -272,14 +287,14 @@ class TestFastPathSemantics:
         # ...and the refreshed one fires.
         assert table.expire(3.6) == [(entry, FlowRemovedReason.IDLE_TIMEOUT)]
 
-    def test_expired_entry_not_returned_by_lookup(self, fast):
-        table = FlowTable(fast_path=fast)
+    def test_expired_entry_not_returned_by_lookup(self, table_cls):
+        table = table_cls()
         table.insert(_exact_entry(hard_timeout=1.0), now=0.0)
         table.expire(2.0)
         assert table.lookup(_exact_headers()) is None
 
-    def test_strict_modify_after_insert_keeps_order(self, fast):
-        table = FlowTable(fast_path=fast)
+    def test_strict_modify_after_insert_keeps_order(self, table_cls):
+        table = table_cls()
         exact = table.insert(_exact_entry(priority=10), now=0.0)
         table.insert(_entry(priority=5, tcp_dst=80), now=0.0)
         touched = table.modify(
@@ -294,8 +309,8 @@ class TestFastPathSemantics:
         assert table.lookup(_exact_headers(1)) is high
         assert table.entries == sorted(table.entries, key=FlowEntry.sort_key)
 
-    def test_strict_modify_misses_other_priority(self, fast):
-        table = FlowTable(fast_path=fast)
+    def test_strict_modify_misses_other_priority(self, table_cls):
+        table = table_cls()
         exact = table.insert(_exact_entry(priority=10), now=0.0)
         assert (
             table.modify(exact.match, [ActionDrop()], priority=11, strict=True)
@@ -305,11 +320,11 @@ class TestFastPathSemantics:
 
 
 class TestPathEquivalence:
-    """Fast and reference tables agree on a mixed workload."""
+    """The shipped and the reference table agree on a mixed workload."""
 
     @staticmethod
-    def _drive(fast):
-        table = FlowTable(fast_path=fast)
+    def _drive(table_cls):
+        table = table_cls()
         for i in range(20):
             table.insert(
                 _exact_entry(i, priority=10 + (i % 3), hard_timeout=float(i % 5)),
@@ -337,4 +352,4 @@ class TestPathEquivalence:
         return winners, evicted, remaining, table.lookup_count, table.matched_count
 
     def test_identical_outcomes(self):
-        assert self._drive(True) == self._drive(False)
+        assert self._drive(FlowTable) == self._drive(ReferenceFlowTable)

@@ -128,6 +128,12 @@ class TestPacketPath:
         with pytest.raises(DataPlaneError):
             switch.receive_packet(99, _packet(), now=0.0)
 
+    def test_reissued_add_on_full_table(self, switch):
+        switch.table.max_entries = 1
+        _install(switch, Match(tcp_dst=80), [ActionOutput(port=2)], priority=5)
+        _install(switch, Match(tcp_dst=80), [ActionDrop()], priority=5)
+        assert [e.actions for e in switch.table.entries] == [[ActionDrop()]]
+
 
 class TestBufferRelease:
     def test_flow_mod_with_buffer_forwards_pending(self, switch, channel, transmitted):
